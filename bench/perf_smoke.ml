@@ -7,10 +7,12 @@
       them disabled (incremental = false is the original cold path).
    2. Reuse actually happens: on the medium circuit (s9234) the reuse
       counters — STA replays, assignment-network replays, tap-cache
-      hits — must all be non-zero.  A refactor that silently stops the
-      caches from firing fails CI even though the results would still
-      be correct.  The counters are deterministic for any job count, so
-      both checks hold at every -j value.
+      hits — must all be non-zero, and the placement system template
+      is built exactly once for the flow's placement calls.  A
+      refactor that silently stops the caches from firing fails CI even
+      though the results would still be correct.  The counters are
+      deterministic for any job count, so both checks hold at every -j
+      value.
 
    -j/--jobs N selects the job count (default 1) so CI can exercise the
    parallel regions; exit status 0 on success, 1 with a diagnostic on
@@ -40,6 +42,20 @@ let check_reuse snap circuit name =
   let n = counter_value snap name in
   if n > 0 then ok "%s %s = %d" circuit name n
   else fail "%s %s = 0: the incremental layer never fired" circuit name
+
+(* the flow cache holds one placement system template for stage 1 and
+   every stage-6 pass; a refactor that goes back to assembling per call
+   or per spreading round fails here *)
+let check_template_builds snap circuit (o : Flow.outcome) =
+  let calls =
+    List.length
+      (List.filter
+         (fun e -> e.Flow_trace.category = Flow_trace.Placer)
+         (Flow_trace.events o.Flow.trace))
+  in
+  let n = counter_value snap "place.template_builds" in
+  if n = 1 then ok "%s place.template_builds = 1 over %d placement calls" circuit calls
+  else fail "%s place.template_builds = %d over %d placement calls, want 1" circuit n calls
 
 let run_flow ~incremental bench =
   let cfg = { (Flow.default_config bench) with Flow.incremental } in
@@ -80,7 +96,8 @@ let () =
       if name = "s9234" then begin
         check_reuse snap name "timing.sta.replays";
         check_reuse snap name "netflow.assignment.replays";
-        check_reuse snap name "assign.tapcache.hits"
+        check_reuse snap name "assign.tapcache.hits";
+        check_template_builds snap name inc
       end)
     Bench_suite.quick;
   if !failures > 0 then begin

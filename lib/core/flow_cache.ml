@@ -3,7 +3,8 @@
    the caches are deliberately not — they are sessions whose whole point
    is to persist across iterations: the incremental STA session, the
    Eq. 1 candidate-tap cache with its warm-started assignment solver,
-   and the dirty-set tracker fed by stage 6's displacement vector.
+   the placement system template, and the dirty-set tracker fed by
+   stage 6's displacement vector.
 
    Every cache matches on exact inputs, so a flow run with caching
    enabled is bit-identical to one without — the caches only skip
@@ -19,6 +20,8 @@ type t = {
   epsilon : float;  (* movement threshold for the dirty set, um *)
   mutable dirty_cells : int;  (* cells moved > epsilon in the last stage-6 pass *)
   mutable max_displacement : float;  (* largest move of that pass, um *)
+  mutable place : (Rc_netlist.Netlist.t * Rc_geom.Rect.t * Rc_place.Qplace.template) option;
+      (* the placement system template and the netlist and die it is of *)
 }
 
 let create ?(epsilon = 0.0) () =
@@ -28,6 +31,7 @@ let create ?(epsilon = 0.0) () =
     epsilon;
     dirty_cells = 0;
     max_displacement = 0.0;
+    place = None;
   }
 
 let sta_session t tech netlist =
@@ -39,6 +43,17 @@ let sta_session t tech netlist =
       s
 
 let assign_cache t = t.assign
+
+(* The template depends only on the netlist and the die, which no edit
+   changes; the key check only guards against a cache handed a
+   different circuit. *)
+let place_template t netlist ~chip =
+  match t.place with
+  | Some (n, c, tpl) when n == netlist && c = chip -> tpl
+  | _ ->
+      let tpl = Rc_place.Qplace.template netlist ~chip in
+      t.place <- Some (netlist, chip, tpl);
+      tpl
 
 (* Full invalidation, for edits that change what the caches are keyed
    against implicitly (the STA session embeds the tech, the tap cache

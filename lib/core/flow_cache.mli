@@ -5,7 +5,8 @@
     It bundles the incremental STA session
     ({!Rc_timing.Sta.analyze_incremental}), the Eq. 1 candidate-tap
     cache with the warm-started assignment solver
-    ({!Rc_assign.Assign.by_netflow} with [~cache]), and the dirty-set
+    ({!Rc_assign.Assign.by_netflow} with [~cache]), the placement
+    system template ({!Rc_place.Qplace.template}), and the dirty-set
     tracker that stage 6 feeds with its displacement vector.
 
     All caches validate against exact inputs, so enabling them cannot
@@ -25,6 +26,12 @@ val sta_session : t -> Rc_tech.Tech.t -> Rc_netlist.Netlist.t -> Rc_timing.Sta.s
 
 val assign_cache : t -> Rc_assign.Assign.cache
 (** The candidate-tap + warm-assignment cache for stage 3. *)
+
+val place_template :
+  t -> Rc_netlist.Netlist.t -> chip:Rc_geom.Rect.t -> Rc_place.Qplace.template
+(** The placement system template of this flow's netlist and die,
+    built on first use (stage 1) and kept for every stage-6 pass.  It
+    depends on nothing an edit changes, so {!reset} keeps it. *)
 
 val reset : t -> unit
 (** Drop everything: the STA session (which embeds the technology) and

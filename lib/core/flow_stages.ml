@@ -21,13 +21,25 @@ let run_sta ctx =
     Rc_timing.Sta.analyze_incremental session ~positions:ctx.Flow_ctx.positions
   else Rc_timing.Sta.analyze tech ctx.Flow_ctx.netlist ~positions:ctx.Flow_ctx.positions
 
+(* The flow's placement system template when the config enables reuse:
+   stage 1 builds it and every stage-6 pass reuses it, so a flow
+   assembles its netlist's system once.  None makes each placement call
+   build its own. *)
+let held_template ctx =
+  if ctx.Flow_ctx.cfg.Flow_ctx.incremental then
+    Some (Flow_cache.place_template ctx.Flow_ctx.caches ctx.Flow_ctx.netlist ~chip:ctx.Flow_ctx.chip)
+  else None
+
 (* ---- stage 1: initial placement -------------------------------------- *)
 
 let placement_global =
   Flow_stage.make ~name:"placement" ~variant:"qplace" ~category:Flow_trace.Placer
     ~inputs:[ "netlist"; "chip" ] ~outputs:[ "positions" ]
     (fun ctx ->
-      let global = Rc_place.Qplace.initial ctx.Flow_ctx.netlist ~chip:ctx.Flow_ctx.chip in
+      let global =
+        Rc_place.Qplace.initial ?template:(held_template ctx) ctx.Flow_ctx.netlist
+          ~chip:ctx.Flow_ctx.chip
+      in
       { ctx with Flow_ctx.positions = global.Rc_place.Qplace.positions })
 
 let placement_detailed =
@@ -35,7 +47,7 @@ let placement_detailed =
     ~inputs:[ "netlist"; "chip" ] ~outputs:[ "positions" ]
     (fun ctx ->
       let netlist = ctx.Flow_ctx.netlist and chip = ctx.Flow_ctx.chip in
-      let global = Rc_place.Qplace.initial netlist ~chip in
+      let global = Rc_place.Qplace.initial ?template:(held_template ctx) netlist ~chip in
       let refined =
         fst
           (Rc_place.Detail.refine ~max_passes:ctx.Flow_ctx.cfg.Flow_ctx.detail_passes netlist
@@ -213,8 +225,9 @@ let incremental_qplace =
       let weight = pseudo_weight_at cfg ~iteration:ctx.Flow_ctx.iteration in
       let pseudo = pseudo_nets ctx weight in
       let inc =
-        Rc_place.Qplace.incremental ~stability:cfg.Flow_ctx.stability ctx.Flow_ctx.netlist
-          ~chip:ctx.Flow_ctx.chip ~prev:ctx.Flow_ctx.positions ~pseudo
+        Rc_place.Qplace.incremental ~stability:cfg.Flow_ctx.stability
+          ?template:(held_template ctx) ctx.Flow_ctx.netlist ~chip:ctx.Flow_ctx.chip
+          ~prev:ctx.Flow_ctx.positions ~pseudo
       in
       Flow_cache.note_displacement ctx.Flow_ctx.caches ~prev:ctx.Flow_ctx.positions
         ~next:inc.Rc_place.Qplace.positions;

@@ -21,9 +21,10 @@ type system = {
 
 let center_anchor_weight = 1e-6
 
-(* growable parallel entry buffer feeding Csr.of_entries; pushes happen
-   in the same program order the old code prepended triplets, so the
-   assembled matrix is bit-identical to the of_triplets path *)
+let m_template_builds = Rc_obs.Metrics.counter "place.template_builds"
+let m_tie_nodes = Rc_obs.Metrics.counter "place.spread_tie_nodes"
+
+(* growable parallel entry buffer of (i, j, v) triplets *)
 type ebuf = {
   mutable ei : int array;
   mutable ej : int array;
@@ -67,44 +68,166 @@ let movable_index netlist =
   done;
   (movable, index)
 
-let build_system netlist ~chip ~extra_springs =
+(* A system's spring-independent part, assembled once.  A system is the
+   pushes: connectivity (pair and pad terms, in net order), then one
+   anchor term per row, then the springs.  Springs touch only the
+   diagonal and the right-hand side, so [structure]'s off-diagonal
+   values are final.  Csr.of_entries sums a diagonal's pushes in reverse
+   push order (springs last to first, the anchor, connectivity last to
+   first); [assemble_system] replays exactly that order from [conn_w],
+   so its matrix is bit for bit the one of_entries builds from the full
+   push list.  The right-hand side starts from the pad and anchor sums
+   and adds spring terms in push order, as the pushes did. *)
+type template = {
+  t_movable : int array;
+  t_index : int array;  (* cell id -> row or -1 *)
+  structure : Rc_sparse.Csr.t;  (* diagonal slots are overwritten per assembly *)
+  diag_slot : int array;  (* row -> slot of (i, i) in [structure] *)
+  anchor : float array;  (* row -> anchor weight *)
+  conn_ptr : int array;  (* row -> its connectivity diagonal terms in [conn_w] *)
+  conn_w : float array;  (* grouped by row, push order within a row *)
+  rhs_x0 : float array;
+  rhs_y0 : float array;
+}
+
+(* [pairs] holds the off-diagonal pushes, [terms] the connectivity
+   diagonal pushes (i, i, w), each in push order *)
+let make_template ~movable ~index ~pairs ~terms ~anchor ~rhs_x0 ~rhs_y0 =
+  let m = Array.length anchor in
+  (* one placeholder per row keeps every diagonal slot in the structure *)
+  for i = 0 to m - 1 do
+    ebuf_push pairs i i 1.0
+  done;
+  let structure = Rc_sparse.Csr.of_entries ~rows:m ~cols:m ~len:pairs.en pairs.ei pairs.ej pairs.ev in
+  let conn_ptr = Array.make (m + 1) 0 in
+  for k = 0 to terms.en - 1 do
+    conn_ptr.(terms.ei.(k) + 1) <- conn_ptr.(terms.ei.(k) + 1) + 1
+  done;
+  for i = 1 to m do
+    conn_ptr.(i) <- conn_ptr.(i) + conn_ptr.(i - 1)
+  done;
+  let conn_w = Array.make terms.en 0.0 and fill = Array.sub conn_ptr 0 m in
+  for k = 0 to terms.en - 1 do
+    let i = terms.ei.(k) in
+    conn_w.(fill.(i)) <- terms.ev.(k);
+    fill.(i) <- fill.(i) + 1
+  done;
+  Rc_obs.Metrics.incr m_template_builds;
+  {
+    t_movable = movable;
+    t_index = index;
+    structure;
+    diag_slot = Array.init m (fun i -> Rc_sparse.Csr.slot structure i i);
+    anchor;
+    conn_ptr;
+    conn_w;
+    rhs_x0;
+    rhs_y0;
+  }
+
+(* star model over every net: each sink ties to the driver with weight
+   2/k; pads are fixed anchors; the die centre is every row's (very
+   weak) regularising anchor *)
+let template netlist ~chip =
   let movable, index = movable_index netlist in
   let m = Array.length movable in
-  let buf = ebuf_create () in
-  let rhs_x = Array.make m 0.0 and rhs_y = Array.make m 0.0 in
-  let add_diag i w = ebuf_push buf i i w in
-  let add_pair i j w =
-    ebuf_push buf i i w;
-    ebuf_push buf j j w;
-    ebuf_push buf i j (-.w);
-    ebuf_push buf j i (-.w)
-  in
+  let pairs = ebuf_create () and terms = ebuf_create () in
+  let rhs_x0 = Array.make m 0.0 and rhs_y0 = Array.make m 0.0 in
   let add_fixed i w (p : Point.t) =
-    add_diag i w;
-    rhs_x.(i) <- rhs_x.(i) +. (w *. p.Point.x);
-    rhs_y.(i) <- rhs_y.(i) +. (w *. p.Point.y)
+    ebuf_push terms i i w;
+    rhs_x0.(i) <- rhs_x0.(i) +. (w *. p.Point.x);
+    rhs_y0.(i) <- rhs_y0.(i) +. (w *. p.Point.y)
   in
   let connect a b w =
     match (index.(a), index.(b)) with
     | -1, -1 -> ()
     | ia, -1 -> add_fixed ia w (Netlist.pad_position netlist b)
     | -1, ib -> add_fixed ib w (Netlist.pad_position netlist a)
-    | ia, ib -> if ia <> ib then add_pair ia ib w
+    | ia, ib ->
+        if ia <> ib then begin
+          ebuf_push terms ia ia w;
+          ebuf_push terms ib ib w;
+          ebuf_push pairs ia ib (-.w);
+          ebuf_push pairs ib ia (-.w)
+        end
   in
   Netlist.iter_nets netlist (fun _ net ->
       let k = 1 + Array.length net.sinks in
       let w = 2.0 /. float_of_int k in
       Array.iter (fun s -> connect net.driver s w) net.sinks);
-  (* regularization: tie every movable cell very weakly to die center *)
   let c = Rect.center chip in
   for i = 0 to m - 1 do
-    add_fixed i center_anchor_weight c
+    rhs_x0.(i) <- rhs_x0.(i) +. (center_anchor_weight *. c.Point.x);
+    rhs_y0.(i) <- rhs_y0.(i) +. (center_anchor_weight *. c.Point.y)
   done;
+  make_template ~movable ~index ~pairs ~terms ~anchor:(Array.make m center_anchor_weight)
+    ~rhs_x0 ~rhs_y0
+
+type springs = { cells : int array; sx : float array; sy : float array; sw : float array }
+
+let uniform_springs cells ~sx ~sy w = { cells; sx; sy; sw = Array.make (Array.length cells) w }
+
+(* O(nnz + springs): copy the template's values, group the spring
+   weights by row (stable), and rebuild each diagonal in of_entries'
+   summation order *)
+let assemble_system t groups =
+  let m = Array.length t.anchor in
+  let start = Array.make (m + 1) 0 in
   List.iter
-    (fun (cell, p, w) -> if index.(cell) >= 0 then add_fixed index.(cell) w p)
-    extra_springs;
-  let matrix = Rc_sparse.Csr.of_entries ~rows:m ~cols:m ~len:buf.en buf.ei buf.ej buf.ev in
-  { movable; index; matrix; rhs_x; rhs_y }
+    (fun s ->
+      Array.iter
+        (fun c ->
+          let r = t.t_index.(c) in
+          if r >= 0 then start.(r + 1) <- start.(r + 1) + 1)
+        s.cells)
+    groups;
+  for i = 1 to m do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let ws = Array.make start.(m) 0.0 and fill = Array.sub start 0 m in
+  let rhs_x = Array.copy t.rhs_x0 and rhs_y = Array.copy t.rhs_y0 in
+  List.iter
+    (fun s ->
+      Array.iteri
+        (fun k c ->
+          let r = t.t_index.(c) in
+          if r >= 0 then begin
+            let w = s.sw.(k) in
+            ws.(fill.(r)) <- w;
+            fill.(r) <- fill.(r) + 1;
+            rhs_x.(r) <- rhs_x.(r) +. (w *. s.sx.(k));
+            rhs_y.(r) <- rhs_y.(r) +. (w *. s.sy.(k))
+          end)
+        s.cells)
+    groups;
+  let template_values = Rc_sparse.Csr.values t.structure in
+  let values = Rc_sparse.Vec.create (Rc_sparse.Vec.length template_values) in
+  Rc_sparse.Vec.blit template_values values;
+  for r = 0 to m - 1 do
+    let lo = start.(r) and hi = start.(r + 1) in
+    let acc = ref (if hi > lo then ws.(hi - 1) else t.anchor.(r)) in
+    if hi > lo then begin
+      for k = hi - 2 downto lo do
+        acc := !acc +. ws.(k)
+      done;
+      acc := !acc +. t.anchor.(r)
+    end;
+    for k = t.conn_ptr.(r + 1) - 1 downto t.conn_ptr.(r) do
+      acc := !acc +. t.conn_w.(k)
+    done;
+    values.{t.diag_slot.(r)} <- !acc
+  done;
+  {
+    movable = t.t_movable;
+    index = t.t_index;
+    matrix = Rc_sparse.Csr.with_values t.structure values;
+    rhs_x;
+    rhs_y;
+  }
+
+let assemble t groups =
+  let sys = assemble_system t groups in
+  (sys.matrix, sys.rhs_x, sys.rhs_y)
 
 (* The x and y systems share the matrix but are otherwise independent —
    the flow's first hot kernel.  With jobs > 1 the two CG solves run on
@@ -129,27 +252,74 @@ let assemble_positions netlist sys xs ys =
 
 (* ---- recursive-bisection spreading targets -------------------------- *)
 
-let spreading_targets rng chip m xs ys =
-  let targets = Array.make m Point.zero in
+(* Each node sorts its members along its axis with Array.sort and
+   halves them; leaves of one or two draw jittered targets in their
+   node's order.  Array.sort is not stable, so the order of tied keys,
+   and with it the leaves' RNG draws, depends on the node's input order.
+   Instead of sorting at every node, the members are kept in two
+   presorted lists (by x, by y) that are stably partitioned into the two
+   halves.  A node whose keys are strictly increasing along its presorted
+   list has exactly one ascending order, which is therefore what
+   Array.sort returns; only a node with tied (or NaN) keys sorts its
+   current order the old way. *)
+let spreading_targets rng chip (xs : float array) (ys : float array) =
+  let m = Array.length xs in
+  let tx = Array.make m 0.0 and ty = Array.make m 0.0 in
   (* indices into the movable arrays *)
   let idx = Array.init m Fun.id in
+  let presorted (keys : float array) =
+    let p = Array.init m Fun.id in
+    Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) p;
+    p
+  in
+  (* over a node's range, its members in ascending x / y order *)
+  let px = presorted xs and py = presorted ys in
+  let is_left = Bytes.create m and spill = Array.make m 0 in
+  let partition p lo hi =
+    let l = ref lo and r = ref 0 in
+    for k = lo to hi - 1 do
+      let e = p.(k) in
+      if Bytes.get is_left e = '\001' then begin
+        p.(!l) <- e;
+        incr l
+      end
+      else begin
+        spill.(!r) <- e;
+        incr r
+      end
+    done;
+    Array.blit spill 0 p !l !r
+  in
+  let strictly_increasing (keys : float array) p lo hi =
+    let k = ref (lo + 1) in
+    while !k < hi && keys.(p.(!k - 1)) < keys.(p.(!k)) do
+      incr k
+    done;
+    !k >= hi
+  in
   let rec go (region : Rect.t) lo hi horizontal =
     let count = hi - lo in
     if count <= 2 then
       for k = lo to hi - 1 do
         let jx = Rc_util.Rng.float_in rng 0.3 0.7 and jy = Rc_util.Rng.float_in rng 0.3 0.7 in
-        targets.(idx.(k)) <-
-          Point.make
-            (region.Rect.xmin +. (jx *. Rect.width region))
-            (region.Rect.ymin +. (jy *. Rect.height region))
+        tx.(idx.(k)) <- region.Rect.xmin +. (jx *. Rect.width region);
+        ty.(idx.(k)) <- region.Rect.ymin +. (jy *. Rect.height region)
       done
     else begin
-      let sub = Array.sub idx lo count in
-      if horizontal then
-        Array.sort (fun a b -> compare xs.(a) xs.(b)) sub
-      else Array.sort (fun a b -> compare ys.(a) ys.(b)) sub;
-      Array.blit sub 0 idx lo count;
+      let keys = if horizontal then xs else ys and p = if horizontal then px else py in
+      if strictly_increasing keys p lo hi then Array.blit p lo idx lo count
+      else begin
+        Rc_obs.Metrics.incr m_tie_nodes;
+        let sub = Array.sub idx lo count in
+        Array.sort (fun a b -> compare keys.(a) keys.(b)) sub;
+        Array.blit sub 0 idx lo count
+      end;
       let mid = lo + (count / 2) in
+      for k = lo to hi - 1 do
+        Bytes.set is_left idx.(k) (if k < mid then '\001' else '\000')
+      done;
+      partition px lo hi;
+      partition py lo hi;
       let frac = float_of_int (mid - lo) /. float_of_int count in
       if horizontal then begin
         let split = region.Rect.xmin +. (frac *. Rect.width region) in
@@ -168,7 +338,7 @@ let spreading_targets rng chip m xs ys =
     end
   in
   go chip 0 m (Rect.width chip >= Rect.height chip);
-  targets
+  (tx, ty)
 
 (* ---- legalization ---------------------------------------------------- *)
 
@@ -280,34 +450,22 @@ let mgraph_of_netlist netlist ~chip ~index ~m =
   done;
   { gm = m; ges = buf.ei; ged = buf.ej; gew = buf.ev; gne = buf.en; gfw; gfx; gfy }
 
-(* quadratic system of one level, optionally with uniform spreading
-   springs of strength [alpha] toward per-vertex [targets] *)
-let system_of_mgraph g ~springs =
-  let buf = ebuf_create () in
+(* the quadratic system template of one level: the edges are its pair
+   terms and each vertex's accumulated fixed anchor is its row's anchor
+   term (a spreading spring adds to that anchor commutatively, so
+   alpha + Σw is the old single push Σw + alpha) *)
+let template_of_mgraph g =
+  let pairs = ebuf_create () and terms = ebuf_create () in
   for e = 0 to g.gne - 1 do
     let i = g.ges.(e) and j = g.ged.(e) and w = g.gew.(e) in
-    ebuf_push buf i i w;
-    ebuf_push buf j j w;
-    ebuf_push buf i j (-.w);
-    ebuf_push buf j i (-.w)
+    ebuf_push terms i i w;
+    ebuf_push terms j j w;
+    ebuf_push pairs i j (-.w);
+    ebuf_push pairs j i (-.w)
   done;
-  let rhs_x = Array.make g.gm 0.0 and rhs_y = Array.make g.gm 0.0 in
-  for i = 0 to g.gm - 1 do
-    let w, wx, wy =
-      match springs with
-      | None -> (g.gfw.(i), g.gfx.(i), g.gfy.(i))
-      | Some (targets, alpha) ->
-          let (t : Point.t) = targets.(i) in
-          ( g.gfw.(i) +. alpha,
-            g.gfx.(i) +. (alpha *. t.Point.x),
-            g.gfy.(i) +. (alpha *. t.Point.y) )
-    in
-    if w <> 0.0 then ebuf_push buf i i w;
-    rhs_x.(i) <- wx;
-    rhs_y.(i) <- wy
-  done;
-  let matrix = Rc_sparse.Csr.of_entries ~rows:g.gm ~cols:g.gm ~len:buf.en buf.ei buf.ej buf.ev in
-  (matrix, rhs_x, rhs_y)
+  let ids = Array.init g.gm Fun.id in
+  make_template ~movable:ids ~index:ids ~pairs ~terms ~anchor:g.gfw ~rhs_x0:g.gfx
+    ~rhs_y0:g.gfy
 
 (* one level of first-choice / heavy-edge coarsening: match each vertex
    (in index order) to its heaviest still-unmatched neighbor, merge the
@@ -428,31 +586,23 @@ let initial_multilevel ~seed netlist ~chip =
   let iters = ref 0 in
   let xs = ref [||] and ys = ref [||] in
   Rc_par.Pool.region (fun () ->
-      let relax g ~wsx ~wsy ~springs ~x0 ~y0 =
-        let matrix, rhs_x, rhs_y = system_of_mgraph g ~springs in
-        let x, y, it =
-          solve_system ~wsx ~wsy ?x0 ?y0
-            { movable = [||]; index = [||]; matrix; rhs_x; rhs_y }
-        in
+      let relax t ~wsx ~wsy ~springs ~warm =
+        let x0, y0 = if warm then (Some !xs, Some !ys) else (None, None) in
+        let x, y, it = solve_system ~wsx ~wsy ?x0 ?y0 (assemble_system t springs) in
         iters := !iters + it;
-        (x, y)
+        xs := x;
+        ys := y
+      in
+      let spread t ~wsx ~wsy alpha =
+        let sx, sy = spreading_targets rng chip !xs !ys in
+        relax t ~wsx ~wsy ~springs:[ uniform_springs t.t_movable ~sx ~sy alpha ] ~warm:true
       in
       (* coarsest level: cold connectivity solve + early spreading *)
+      let t = template_of_mgraph coarsest in
       let wsx = Rc_sparse.Cg.workspace coarsest.gm
       and wsy = Rc_sparse.Cg.workspace coarsest.gm in
-      let x, y = relax coarsest ~wsx ~wsy ~springs:None ~x0:None ~y0:None in
-      xs := x;
-      ys := y;
-      List.iter
-        (fun alpha ->
-          let targets = spreading_targets rng chip coarsest.gm !xs !ys in
-          let x, y =
-            relax coarsest ~wsx ~wsy ~springs:(Some (targets, alpha)) ~x0:(Some !xs)
-              ~y0:(Some !ys)
-          in
-          xs := x;
-          ys := y)
-        [ 0.02; 0.04 ];
+      relax t ~wsx ~wsy ~springs:[] ~warm:false;
+      List.iter (spread t ~wsx ~wsy) [ 0.02; 0.04 ];
       (* refinement sweep, finest level last *)
       List.iter
         (fun (g, map) ->
@@ -463,18 +613,9 @@ let initial_multilevel ~seed netlist ~chip =
           done;
           xs := xf;
           ys := yf;
+          let t = template_of_mgraph g in
           let wsx = Rc_sparse.Cg.workspace g.gm and wsy = Rc_sparse.Cg.workspace g.gm in
-          let alphas = if g == g0 then [ 0.16; 0.32 ] else [ 0.08 ] in
-          List.iter
-            (fun alpha ->
-              let targets = spreading_targets rng chip g.gm !xs !ys in
-              let x, y =
-                relax g ~wsx ~wsy ~springs:(Some (targets, alpha)) ~x0:(Some !xs)
-                  ~y0:(Some !ys)
-              in
-              xs := x;
-              ys := y)
-            alphas)
+          List.iter (spread t ~wsx ~wsy) (if g == g0 then [ 0.16; 0.32 ] else [ 0.08 ]))
         levels);
   let n = Netlist.n_cells netlist in
   let spread =
@@ -487,11 +628,21 @@ let initial_multilevel ~seed netlist ~chip =
 
 (* ---- top-level entry points ------------------------------------------ *)
 
-let initial_flat ~seed ~spread_rounds netlist ~chip =
+(* a caller-held template (the flow keeps one per netlist) or a fresh one *)
+let template_for ?template:held netlist ~chip =
+  match held with
+  | None -> template netlist ~chip
+  | Some t ->
+      if Array.length t.t_index <> Netlist.n_cells netlist then
+        invalid_arg "Qplace: template built for another netlist";
+      t
+
+let initial_flat ?template ~seed ~spread_rounds netlist ~chip =
   let rng = Rc_util.Rng.create seed in
   let iters = ref 0 in
+  let t = template_for ?template netlist ~chip in
   (* pass 1: pure connectivity solve *)
-  let sys0 = build_system netlist ~chip ~extra_springs:[] in
+  let sys0 = assemble_system t [] in
   (* every round solves the same-size system: share two CG workspaces
      (one per axis — the solves run concurrently) across all rounds *)
   let m = Array.length sys0.movable in
@@ -507,13 +658,9 @@ let initial_flat ~seed ~spread_rounds netlist ~chip =
       iters := !iters + it0;
       (* spreading rounds with growing anchor strength *)
       for round = 1 to spread_rounds do
-        let targets = spreading_targets rng chip (Array.length sys0.movable) !xs !ys in
+        let sx, sy = spreading_targets rng chip !xs !ys in
         let alpha = 0.01 *. (2.0 ** float_of_int round) in
-        let springs =
-          Array.to_list
-            (Array.mapi (fun i c -> (c, targets.(i), alpha)) sys0.movable)
-        in
-        let sys = build_system netlist ~chip ~extra_springs:springs in
+        let sys = assemble_system t [ uniform_springs t.t_movable ~sx ~sy alpha ] in
         let x, y, it = solve_system ~wsx ~wsy ~x0:!xs ~y0:!ys sys in
         xs := x;
         ys := y;
@@ -526,34 +673,39 @@ let initial_flat ~seed ~spread_rounds netlist ~chip =
 (* [initial] keeps the paper circuits (well under the threshold) on the
    flat schedule byte for byte; the scaling suite takes the V-cycle *)
 let initial ?(seed = 7) ?(spread_rounds = 5)
-    ?(multilevel_threshold = multilevel_threshold) netlist ~chip =
+    ?(multilevel_threshold = multilevel_threshold) ?template netlist ~chip =
   let n = Netlist.n_cells netlist in
   let m = ref 0 in
   for c = 0 to n - 1 do
     if Netlist.movable netlist c then incr m
   done;
   if !m >= multilevel_threshold then initial_multilevel ~seed netlist ~chip
-  else initial_flat ~seed ~spread_rounds netlist ~chip
+  else initial_flat ?template ~seed ~spread_rounds netlist ~chip
 
-let incremental ?(stability = 0.004) netlist ~chip ~prev ~pseudo =
+let incremental ?(stability = 0.004) ?template netlist ~chip ~prev ~pseudo =
   let n = Netlist.n_cells netlist in
   if Array.length prev <> n then invalid_arg "Qplace.incremental: prev length mismatch";
   let rng = Rc_util.Rng.create 23 in
-  let base_springs =
-    List.filter_map
-      (fun c -> if Netlist.movable netlist c then Some (c, prev.(c), stability) else None)
-      (List.init n Fun.id)
-    @ List.map (fun pn -> (pn.cell, pn.anchor, pn.weight)) pseudo
+  let t = template_for ?template netlist ~chip in
+  let m = Array.length t.t_movable in
+  (* stability springs to every movable cell's previous location, then
+     the pseudo-nets, in that push order *)
+  let x0 = Array.map (fun c -> prev.(c).Point.x) t.t_movable
+  and y0 = Array.map (fun c -> prev.(c).Point.y) t.t_movable in
+  let pseudo : pseudo_net array = Array.of_list pseudo in
+  let base =
+    [
+      uniform_springs t.t_movable ~sx:x0 ~sy:y0 stability;
+      {
+        cells = Array.map (fun pn -> pn.cell) pseudo;
+        sx = Array.map (fun (pn : pseudo_net) -> pn.anchor.Point.x) pseudo;
+        sy = Array.map (fun (pn : pseudo_net) -> pn.anchor.Point.y) pseudo;
+        sw = Array.map (fun pn -> pn.weight) pseudo;
+      };
+    ]
   in
-  let sys0 = build_system netlist ~chip ~extra_springs:base_springs in
-  let m = Array.length sys0.movable in
+  let sys0 = assemble_system t base in
   let wsx = Rc_sparse.Cg.workspace m and wsy = Rc_sparse.Cg.workspace m in
-  let x0 = Array.make m 0.0 and y0 = Array.make m 0.0 in
-  Array.iteri
-    (fun i c ->
-      x0.(i) <- prev.(c).Point.x;
-      y0.(i) <- prev.(c).Point.y)
-    sys0.movable;
   let xs = ref x0 and ys = ref y0 and iters = ref 0 in
   (* same batch-region discipline as [initial] *)
   Rc_par.Pool.region (fun () ->
@@ -566,13 +718,9 @@ let incremental ?(stability = 0.004) netlist ~chip ~prev ~pseudo =
          pass ends with (0.01·2⁵), so incremental results stay
          comparable *)
       for round = 3 to 5 do
-        let targets = spreading_targets rng chip (Array.length sys0.movable) !xs !ys in
+        let sx, sy = spreading_targets rng chip !xs !ys in
         let alpha = 0.01 *. (2.0 ** float_of_int round) in
-        let springs =
-          base_springs
-          @ Array.to_list (Array.mapi (fun i c -> (c, targets.(i), alpha)) sys0.movable)
-        in
-        let sys = build_system netlist ~chip ~extra_springs:springs in
+        let sys = assemble_system t (base @ [ uniform_springs t.t_movable ~sx ~sy alpha ]) in
         let x, y, it = solve_system ~wsx ~wsy ~x0:!xs ~y0:!ys sys in
         xs := x;
         ys := y;

@@ -273,10 +273,11 @@ let serve_connection t fd =
       while !outstanding > 0 do
         Condition.wait ccond clock
       done);
-  (* close_out flushes and closes the shared fd; close_in then finds it
-     closed, which close_in_noerr swallows *)
-  close_out_noerr oc;
-  close_in_noerr ic
+  (* close_out flushes and closes the fd both channels share.  Closing ic
+     as well would close that fd number a second time, and by then an
+     accept on another thread may have handed the number to a new
+     connection *)
+  close_out_noerr oc
 
 let run_unix ?workers ?max_pending ?session_capacity ?session_dir ~path () =
   let t = create ?workers ?max_pending ?session_capacity ?session_dir () in

@@ -340,7 +340,7 @@ let seq_wait_s = 10.0
 let edit_session t (se : Protocol.session_edit_request) token =
   let sid = se.Protocol.se_session in
   let e = find_or_admit t sid in
-  let deadline = Unix.gettimeofday () +. seq_wait_s in
+  let deadline = Rc_util.Timer.now_s () +. seq_wait_s in
   let rec run () =
     let r =
       with_lock e.e_lock (fun () ->
@@ -380,7 +380,7 @@ let edit_session t (se : Protocol.session_edit_request) token =
     match r with
     | `Done json -> json
     | `Wait seq ->
-        if Unix.gettimeofday () > deadline then
+        if Rc_util.Timer.now_s () > deadline then
           fail "session %d: edit seq %d ahead of applied %d (sequence gap)"
             sid seq e.e_applied
         else begin

@@ -132,9 +132,22 @@ let pop_event t =
       done;
       Queue.pop t.evq)
 
-(* signal handlers may run in any thread, including one holding ev_lock;
-   a fresh thread acquires it without risk of self-deadlock *)
-let push_event_async t e = ignore (Thread.create (fun () -> push_event t e) ())
+(* SIGTERM/SIGINT stop the tier and SIGHUP rolls it.  [run] blocks them
+   before it starts any thread, so every thread inherits the block, and
+   one dedicated thread takes them synchronously.  An asynchronous OCaml
+   handler only runs once some thread executes OCaml code again, which
+   an idle supervisor (every thread parked in accept, read or a
+   condition wait) may not do for a long time. *)
+let tier_signals = [ Sys.sigterm; Sys.sigint; Sys.sighup ]
+
+let signal_loop t =
+  let rec loop () =
+    let s = Thread.wait_signal tier_signals in
+    if s <> Sys.sighup then push_event t Stop
+    else if t.cfg.allow_restart then push_event t Roll;
+    loop ()
+  in
+  loop ()
 
 let rec mkdir_p dir =
   if dir = "" || dir = "/" || dir = "." || Sys.file_exists dir then ()
@@ -835,8 +848,9 @@ let serve_conn t fd =
       while !outstanding > 0 do
         Condition.wait ccond clock
       done);
-  close_out_noerr oc;
-  close_in_noerr ic
+  (* one close for the fd both channels share: a second close could hit
+     a connection accepted meanwhile under the same fd number *)
+  close_out_noerr oc
 
 (* ---- listeners ---------------------------------------------------------- *)
 
@@ -917,6 +931,7 @@ let handle_stop t =
 
 let run cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  if cfg.handle_signals then ignore (Thread.sigmask Unix.SIG_BLOCK tier_signals);
   mkdir_p cfg.checkpoint_dir;
   mkdir_p (Filename.dirname cfg.shm_path);
   let shm =
@@ -987,14 +1002,7 @@ let run cfg =
         Some fd
   in
   Mutex.protect t.lock (fun () -> Array.iter (fun w -> spawn t w) t.workers);
-  if cfg.handle_signals then (
-    let stop _ = push_event_async t Stop in
-    let roll _ = if cfg.allow_restart then push_event_async t Roll in
-    try
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sighup (Sys.Signal_handle roll)
-    with Invalid_argument _ -> ());
+  if cfg.handle_signals then ignore (Thread.create signal_loop t);
   Option.iter (fun fd -> ignore (Thread.create (fun () -> accept_loop t fd) ())) unix_lfd;
   Option.iter (fun fd -> ignore (Thread.create (fun () -> accept_loop t fd) ())) tcp_lfd;
   Printf.eprintf

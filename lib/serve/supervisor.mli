@@ -41,8 +41,11 @@ type config = {
           before SIGKILL (crash recovery then resumes its jobs). *)
   allow_restart : bool;  (** Accept the [restart] op and SIGHUP. *)
   handle_signals : bool;
-      (** Install SIGTERM/SIGINT (shutdown) and SIGHUP (roll)
-          handlers; off for in-process tests. *)
+      (** Act on SIGTERM/SIGINT (shutdown) and SIGHUP (roll): [run]
+          blocks them before starting any thread and takes them in one
+          dedicated [Thread.wait_signal] thread, so an idle tier reacts
+          at once.  Call [run] before the process starts other threads.
+          Off for in-process tests. *)
   exe : string option;
       (** Worker executable, exec'd as [EXE serve-worker --slot ...];
           defaults to [Sys.executable_name].  Embedders whose binary is

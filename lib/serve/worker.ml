@@ -79,6 +79,9 @@ let run ?workers ?max_pending ?(transport = Shm.Ndjson) ?pin_core
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigint Sys.Signal_ignore with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sighup Sys.Signal_ignore with Invalid_argument _ -> ());
+  (* a spawned image inherits the supervisor's blocked signal mask;
+     unblock so SIGTERM keeps its default action here *)
+  ignore (Thread.sigmask Unix.SIG_UNBLOCK [ Sys.sigterm; Sys.sigint; Sys.sighup ]);
   (* the export table this worker publishes into its shm row is only
      live if the registry records; recording is sharded per domain and
      contention-free, so a dedicated worker always pays it *)

@@ -141,22 +141,60 @@ let of_entries ~rows:n_rows ~cols:n_cols ~len ri ci vs =
     values = Vec.of_array (Array.sub values 0 !out);
   }
 
-let get t i j =
+let slot t i j =
   if i < 0 || i >= t.n_rows || j < 0 || j >= t.n_cols then
-    invalid_arg "Csr.get: index out of range";
+    invalid_arg "Csr.slot: index out of range";
   let lo = ref t.row_ptr.{i} and hi = ref (t.row_ptr.{i + 1} - 1) in
-  let result = ref 0.0 in
+  let result = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let c = t.col_idx.{mid} in
     if c = j then begin
-      result := t.values.{mid};
+      result := mid;
       lo := !hi + 1
     end
     else if c < j then lo := mid + 1
     else hi := mid - 1
   done;
   !result
+
+let get t i j =
+  if i < 0 || i >= t.n_rows || j < 0 || j >= t.n_cols then
+    invalid_arg "Csr.get: index out of range";
+  let k = slot t i j in
+  if k < 0 then 0.0 else t.values.{k}
+
+let values t = t.values
+
+(* Same structure, new values.  Exact zeros are compacted out (copying
+   the structure) so the result never stores a zero, like [of_entries]. *)
+let with_values t v =
+  let nnz = Vec.length t.values in
+  if Vec.length v <> nnz then invalid_arg "Csr.with_values: size mismatch";
+  let zeros = ref 0 in
+  for k = 0 to nnz - 1 do
+    if v.{k} = 0.0 then incr zeros
+  done;
+  if !zeros = 0 then { t with values = v }
+  else begin
+    let keep = nnz - !zeros in
+    let row_ptr = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (t.n_rows + 1) in
+    let col_idx = Bigarray.Array1.create Bigarray.int Bigarray.c_layout keep in
+    let values = Vec.create keep in
+    let out = ref 0 in
+    for i = 0 to t.n_rows - 1 do
+      row_ptr.{i} <- !out;
+      for k = t.row_ptr.{i} to t.row_ptr.{i + 1} - 1 do
+        if v.{k} <> 0.0 then begin
+          col_idx.{!out} <- t.col_idx.{k};
+          values.{!out} <- v.{k};
+          incr out
+        end
+      done
+    done;
+    row_ptr.{t.n_rows} <- !out;
+    { t with row_ptr; col_idx; values }
+  end
 
 let spmv t x y =
   if Vec.length x <> t.n_cols || Vec.length y <> t.n_rows then

@@ -36,6 +36,23 @@ val get : t -> int -> int -> float
 (** Value at (i, j); 0. when the entry is structurally absent.
     Logarithmic in the row's nonzero count. *)
 
+val slot : t -> int -> int -> int
+(** Storage slot of the structural entry (i, j) in {!values}, or [-1]
+    when it is absent.  @raise Invalid_argument on out-of-range
+    indices. *)
+
+val values : t -> Vec.t
+(** The value storage, one slot per structural nonzero in row-major
+    column order.  Shared, not copied: treat it as read-only. *)
+
+val with_values : t -> Vec.t -> t
+(** [with_values a v] is [a]'s structure with the values [v] (taken
+    over, not copied; length {!nnz}[ a]).  The structure is shared
+    unless some [v] slot is exactly zero: those entries are dropped,
+    so the result stores no zero, as {!of_entries} guarantees.  This is
+    how a caller re-values a fixed sparsity pattern without
+    re-assembling it.  @raise Invalid_argument on a length mismatch. *)
+
 val mul_vec : t -> float array -> float array
 (** [mul_vec a x] is [a * x]. @raise Invalid_argument on size mismatch. *)
 

@@ -1,5 +1,7 @@
 (* Tests for Rc_place: HPWL arithmetic, quadratic placement quality and
-   legality, incremental stability, and pseudo-net pull. *)
+   legality, incremental stability, pseudo-net pull, and bit-identity of
+   the template assembly and presorted spreading against their one-shot
+   reference twins. *)
 
 open Rc_netlist
 open Netlist
@@ -159,6 +161,203 @@ let prop_incremental_inside_chip =
         (fun c p -> if Netlist.movable nl c && not (Rect.contains chip p) then ok := false)
         r1.Rc_place.Qplace.positions;
       !ok)
+
+(* --- system assembly and spreading: reference twins --- *)
+
+(* The one-shot assembly the system template replaced: every term pushed
+   into one entry list (star connectivity in net order, the centre anchor
+   of every movable cell, then the springs) and summed by a single
+   Csr.of_entries call. *)
+let reference_system nl ~chip springs =
+  let n = Netlist.n_cells nl in
+  let index = Array.make n (-1) and m = ref 0 in
+  for c = 0 to n - 1 do
+    if Netlist.movable nl c then begin
+      index.(c) <- !m;
+      incr m
+    end
+  done;
+  let m = !m in
+  let pushes = ref [] in
+  let push i j v = pushes := (i, j, v) :: !pushes in
+  let rhs_x = Array.make m 0.0 and rhs_y = Array.make m 0.0 in
+  let add_fixed i w (p : Point.t) =
+    push i i w;
+    rhs_x.(i) <- rhs_x.(i) +. (w *. p.Point.x);
+    rhs_y.(i) <- rhs_y.(i) +. (w *. p.Point.y)
+  in
+  Netlist.iter_nets nl (fun _ net ->
+      let w = 2.0 /. float_of_int (1 + Array.length net.sinks) in
+      Array.iter
+        (fun s ->
+          match (index.(net.driver), index.(s)) with
+          | -1, -1 -> ()
+          | ia, -1 -> add_fixed ia w (Netlist.pad_position nl s)
+          | -1, ib -> add_fixed ib w (Netlist.pad_position nl net.driver)
+          | ia, ib ->
+              if ia <> ib then begin
+                push ia ia w;
+                push ib ib w;
+                push ia ib (-.w);
+                push ib ia (-.w)
+              end)
+        net.sinks);
+  let c = Rect.center chip in
+  for i = 0 to m - 1 do
+    add_fixed i 1e-6 c
+  done;
+  List.iter (fun (cell, p, w) -> if index.(cell) >= 0 then add_fixed index.(cell) w p) springs;
+  let es = Array.of_list (List.rev !pushes) in
+  let matrix =
+    Rc_sparse.Csr.of_entries ~rows:m ~cols:m ~len:(Array.length es)
+      (Array.map (fun (i, _, _) -> i) es)
+      (Array.map (fun (_, j, _) -> j) es)
+      (Array.map (fun (_, _, v) -> v) es)
+  in
+  (matrix, rhs_x, rhs_y)
+
+let bits_of_csr a =
+  List.init (Rc_sparse.Csr.rows a) (fun i ->
+      let row = ref [] in
+      Rc_sparse.Csr.iter_row a i (fun j v -> row := (j, Int64.bits_of_float v) :: !row);
+      List.rev !row)
+
+let bits_of_array = Array.map Int64.bits_of_float
+
+(* random spring groups: cells drawn with repeats (fixed pads included,
+   which assembly must ignore), a few hot cells carrying many springs,
+   zero weights allowed *)
+let random_springs st n =
+  List.init
+    (1 + Random.State.int st 3)
+    (fun _ ->
+      let k = Random.State.int st (2 * n) in
+      let hot = Array.init 3 (fun _ -> Random.State.int st n) in
+      let cells =
+        Array.init k (fun _ ->
+            if Random.State.int st 4 = 0 then hot.(Random.State.int st 3)
+            else Random.State.int st n)
+      in
+      let coord () = Random.State.float st 1200.0 in
+      {
+        Rc_place.Qplace.cells;
+        sx = Array.init k (fun _ -> coord ());
+        sy = Array.init k (fun _ -> coord ());
+        sw =
+          Array.init k (fun _ ->
+              if Random.State.int st 8 = 0 then 0.0 else Random.State.float st 2.0);
+      })
+
+let prop_template_matches_reference =
+  QCheck.Test.make ~name:"template assembly is bitwise the one-shot of_entries assembly"
+    ~count:60
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, sseed) ->
+      let nl = Rc_netlist.Generator.generate (gen_cfg (seed + 200)) in
+      let st = Random.State.make [| sseed |] in
+      let groups = random_springs st (Netlist.n_cells nl) in
+      let t = Rc_place.Qplace.template nl ~chip in
+      let a, bx, by = Rc_place.Qplace.assemble t groups in
+      let flat =
+        List.concat_map
+          (fun g ->
+            List.init (Array.length g.Rc_place.Qplace.cells) (fun k ->
+                ( g.Rc_place.Qplace.cells.(k),
+                  Point.make g.Rc_place.Qplace.sx.(k) g.Rc_place.Qplace.sy.(k),
+                  g.Rc_place.Qplace.sw.(k) )))
+          groups
+      in
+      let ra, rx, ry = reference_system nl ~chip flat in
+      (* a second assembly from the same template must not see the first *)
+      let a2, _, _ = Rc_place.Qplace.assemble t groups in
+      bits_of_csr a = bits_of_csr ra
+      && bits_of_csr a2 = bits_of_csr ra
+      && bits_of_array bx = bits_of_array rx
+      && bits_of_array by = bits_of_array ry)
+
+(* The bisection spreading as it was before presorting: every node
+   heap-sorts its members with the polymorphic comparison. *)
+let legacy_spreading_targets rng chip m xs ys =
+  let targets = Array.make m Point.zero in
+  let idx = Array.init m Fun.id in
+  let rec go (region : Rect.t) lo hi horizontal =
+    let count = hi - lo in
+    if count <= 2 then
+      for k = lo to hi - 1 do
+        let jx = Rc_util.Rng.float_in rng 0.3 0.7 and jy = Rc_util.Rng.float_in rng 0.3 0.7 in
+        targets.(idx.(k)) <-
+          Point.make
+            (region.Rect.xmin +. (jx *. Rect.width region))
+            (region.Rect.ymin +. (jy *. Rect.height region))
+      done
+    else begin
+      let sub = Array.sub idx lo count in
+      if horizontal then Array.sort (fun a b -> compare xs.(a) xs.(b)) sub
+      else Array.sort (fun a b -> compare ys.(a) ys.(b)) sub;
+      Array.blit sub 0 idx lo count;
+      let mid = lo + (count / 2) in
+      let frac = float_of_int (mid - lo) /. float_of_int count in
+      if horizontal then begin
+        let split = region.Rect.xmin +. (frac *. Rect.width region) in
+        go (Rect.make ~xmin:region.Rect.xmin ~ymin:region.Rect.ymin ~xmax:split
+              ~ymax:region.Rect.ymax) lo mid (not horizontal);
+        go (Rect.make ~xmin:split ~ymin:region.Rect.ymin ~xmax:region.Rect.xmax
+              ~ymax:region.Rect.ymax) mid hi (not horizontal)
+      end
+      else begin
+        let split = region.Rect.ymin +. (frac *. Rect.height region) in
+        go (Rect.make ~xmin:region.Rect.xmin ~ymin:region.Rect.ymin ~xmax:region.Rect.xmax
+              ~ymax:split) lo mid (not horizontal);
+        go (Rect.make ~xmin:region.Rect.xmin ~ymin:split ~xmax:region.Rect.xmax
+              ~ymax:region.Rect.ymax) mid hi (not horizontal)
+      end
+    end
+  in
+  go chip 0 m (Rect.width chip >= Rect.height chip);
+  targets
+
+(* coordinates on a coarse grid (one level = all keys equal) so that
+   most bisection nodes hold ties; tiny point sets included *)
+let prop_spreading_matches_legacy =
+  QCheck.Test.make ~name:"presorted bisection matches the heap-sort bisection" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad
+            (oneof [ int_range 0 2; int_range 3 90 ])
+            (int_range 1 6) small_nat
+            (oneofl [ (1200.0, 1200.0); (1800.0, 600.0); (400.0, 900.0) ])))
+    (fun (m, levels, seed, (w, h)) ->
+      let die = Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:w ~ymax:h in
+      let st = Random.State.make [| seed; m; levels |] in
+      let key () = float_of_int (Random.State.int st levels) *. (w /. 7.0) in
+      let xs = Array.init m (fun _ -> key ()) and ys = Array.init m (fun _ -> key ()) in
+      let r1 = Rc_util.Rng.create seed and r2 = Rc_util.Rng.create seed in
+      let tx, ty = Rc_place.Qplace.spreading_targets r1 die xs ys in
+      let legacy = legacy_spreading_targets r2 die m xs ys in
+      bits_of_array tx = bits_of_array (Array.map (fun (p : Point.t) -> p.Point.x) legacy)
+      && bits_of_array ty = bits_of_array (Array.map (fun (p : Point.t) -> p.Point.y) legacy)
+      && Rc_util.Rng.float r1 1.0 = Rc_util.Rng.float r2 1.0)
+
+(* a held template gives the same placements as a per-call one *)
+let test_held_template_identical () =
+  let nl = Rc_netlist.Generator.generate (gen_cfg 40) in
+  let t = Rc_place.Qplace.template nl ~chip in
+  let a = Rc_place.Qplace.initial nl ~chip and b = Rc_place.Qplace.initial ~template:t nl ~chip in
+  Alcotest.(check bool) "initial" true (a.Rc_place.Qplace.positions = b.Rc_place.Qplace.positions);
+  let ff = (Netlist.flip_flops nl).(0) in
+  let pseudo = [ { Rc_place.Qplace.cell = ff; anchor = Point.make 900.0 100.0; weight = 3.0 } ] in
+  let prev = a.Rc_place.Qplace.positions in
+  let c = Rc_place.Qplace.incremental nl ~chip ~prev ~pseudo
+  and d = Rc_place.Qplace.incremental ~template:t nl ~chip ~prev ~pseudo in
+  Alcotest.(check bool) "incremental" true
+    (c.Rc_place.Qplace.positions = d.Rc_place.Qplace.positions);
+  let other =
+    Rc_netlist.Generator.generate { (gen_cfg 41) with Generator.n_logic = 90; n_nets = 102 }
+  in
+  Alcotest.check_raises "foreign template"
+    (Invalid_argument "Qplace: template built for another netlist") (fun () ->
+      ignore (Rc_place.Qplace.initial ~template:t other ~chip))
 
 (* --- detailed placement --- *)
 
@@ -321,6 +520,12 @@ let () =
           Alcotest.test_case "stability" `Quick test_incremental_stability;
           Alcotest.test_case "pseudo-net pull" `Quick test_pseudo_net_pull;
           QCheck_alcotest.to_alcotest prop_incremental_inside_chip;
+        ] );
+      ( "assembly",
+        [
+          QCheck_alcotest.to_alcotest prop_template_matches_reference;
+          QCheck_alcotest.to_alcotest prop_spreading_matches_legacy;
+          Alcotest.test_case "held template is identical" `Quick test_held_template_identical;
         ] );
       ( "legalize",
         [

@@ -1,6 +1,7 @@
 (* Tests for the flow service: checkpoint save/load/resume
-   bit-identity, the deadline-aware scheduler, the wire protocol, and
-   an in-process socket smoke of the server. *)
+   bit-identity, the deadline-aware scheduler, the wire protocol, an
+   in-process socket smoke of the server, connection churn, and the
+   supervisor's crash, roll and signal drills. *)
 
 open Rc_core
 open Rc_serve
@@ -444,6 +445,76 @@ let test_server_socket_smoke () =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Thread.join server;
   Alcotest.(check bool) "socket removed after drain" false (Sys.file_exists path)
+
+(* Short connections (connect, one status request, close) churn from
+   two threads while one long-lived connection keeps asking: every
+   request on every connection must be answered with its own id.  A
+   server that closed a finished connection's fd twice would sometimes
+   close a connection accepted in between under the same fd number. *)
+let churn_connections ~connect ~rounds =
+  (* a lost reply must fail the test, not hang it *)
+  let connect () =
+    let fd = connect () in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    fd
+  in
+  let status fd ic id =
+    send_line fd (Printf.sprintf {|{"id":%d,"op":"status"}|} id);
+    let j = read_response ic in
+    field "id" j = Json.Int id && field "ok" j = Json.Bool true
+  in
+  let lost = Atomic.make 0 in
+  let short () =
+    for i = 1 to rounds do
+      let answered =
+        try
+          let fd = connect () in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () -> status fd (Unix.in_channel_of_descr fd) i)
+        with _ -> false
+      in
+      if not answered then Atomic.incr lost
+    done
+  in
+  let churners = List.init 2 (fun _ -> Thread.create short ()) in
+  let long = connect () in
+  let lic = Unix.in_channel_of_descr long in
+  let long_lost = ref 0 in
+  for i = 1 to rounds do
+    if not (try status long lic (100_000 + i) with _ -> false) then incr long_lost
+  done;
+  List.iter Thread.join churners;
+  (try Unix.close long with Unix.Unix_error _ -> ());
+  Alcotest.(check int) "long-lived requests lost" 0 !long_lost;
+  Alcotest.(check int) "short connections lost" 0 (Atomic.get lost)
+
+let test_server_connection_churn () =
+  let path = Filename.concat temp_dir "churn-server.sock" in
+  let server = Thread.create (fun () -> Server.run_unix ~workers:1 ~path ()) () in
+  let rec wait n =
+    if Sys.file_exists path then ()
+    else if n = 0 then Alcotest.fail "server socket never appeared"
+    else (
+      Unix.sleepf 0.05;
+      wait (n - 1))
+  in
+  wait 100;
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         let fd = connect () in
+         send_line fd {|{"id":0,"op":"shutdown"}|};
+         ignore (input_line (Unix.in_channel_of_descr fd));
+         Unix.close fd
+       with _ -> ());
+      Thread.join server)
+    (fun () -> churn_connections ~connect ~rounds:1500)
 
 (* the identity a supervisor gives its workers surfaces in status *)
 let test_server_status_identity () =
@@ -1212,6 +1283,59 @@ let wait_for ?(timeout_s = 20.0) msg pred =
   in
   go ()
 
+let test_supervisor_connection_churn () =
+  with_supervisor ~workers:1 "churn" (fun ~sock ~shm_path:_ ->
+      churn_connections ~connect:(fun () -> connect_unix sock) ~rounds:1500)
+
+(* An idle supervisor process acts on SIGTERM: it drains its workers and
+   exits 0 within 5 s. *)
+let test_supervisor_sigterm_idle () =
+  let sock = Filename.concat temp_dir "sigterm.sock" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process rotary_cli_exe
+      [| rotary_cli_exe; "serve"; "--workers-proc"; "1"; "--workers"; "1"; "--socket"; sock |]
+      null null null
+  in
+  Unix.close null;
+  let reaped = ref None in
+  let poll () =
+    if !reaped = None then
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ -> ()
+      | _, st -> reaped := Some st
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      poll ();
+      if !reaped = None then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end)
+    (fun () ->
+      wait_for "supervisor answers status" (fun () ->
+          poll ();
+          if !reaped <> None then Alcotest.fail "supervisor exited before SIGTERM";
+          try
+            let fd = connect_unix sock in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                send_line fd {|{"id":1,"op":"status"}|};
+                field "ok" (read_response (Unix.in_channel_of_descr fd)) = Json.Bool true)
+          with _ -> false);
+      (* let every supervisor thread park *)
+      Unix.sleepf 0.5;
+      Unix.kill pid Sys.sigterm;
+      wait_for ~timeout_s:5.0 "supervisor exits after SIGTERM" (fun () ->
+          poll ();
+          !reaped <> None);
+      match !reaped with
+      | Some (Unix.WEXITED 0) -> ()
+      | Some (Unix.WEXITED c) -> Alcotest.failf "supervisor exited %d" c
+      | Some (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "supervisor killed by signal %d" s
+      | None -> Alcotest.fail "supervisor still running")
+
 (* The chaos drill: SIGKILL the worker running a flow mid-iteration; the
    supervisor must respawn the slot and resume or rerun the flow on a
    sibling, and the response digest must equal an uninterrupted run's. *)
@@ -1404,6 +1528,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "socket smoke" `Slow test_server_socket_smoke;
+          Alcotest.test_case "connection churn keeps every reply" `Slow
+            test_server_connection_churn;
           Alcotest.test_case "status carries worker identity" `Quick
             test_server_status_identity;
           Alcotest.test_case "error envelope echoes the op" `Quick
@@ -1450,6 +1576,10 @@ let () =
         ] );
       ( "supervisor",
         [
+          Alcotest.test_case "connection churn keeps every reply" `Slow
+            test_supervisor_connection_churn;
+          Alcotest.test_case "idle supervisor exits on SIGTERM" `Slow
+            test_supervisor_sigterm_idle;
           Alcotest.test_case "crash recovery is digest-identical (ndjson)" `Slow
             (test_supervisor_chaos_kill Shm.Ndjson);
           Alcotest.test_case "crash recovery is digest-identical (shm)" `Slow

@@ -187,6 +187,27 @@ let prop_of_entries_matches_of_triplets =
              List.for_all (fun j -> Csr.get a i j = Csr.get b i j) (List.init dim Fun.id))
            (List.init dim Fun.id))
 
+(* with_values re-values a fixed structure; zeroed slots leave it, so
+   the result equals a fresh of_triplets assembly of the new values *)
+let test_csr_with_values () =
+  let a = Csr.of_triplets ~rows:3 ~cols:3 [ (0, 0, 2.0); (0, 2, 1.0); (1, 1, 3.0); (2, 0, 4.0) ] in
+  Alcotest.(check int) "slot of (0,2)" 1 (Csr.slot a 0 2);
+  Alcotest.(check int) "absent slot" (-1) (Csr.slot a 1 0);
+  let v = Vec.of_array [| 5.0; 0.0; 6.0; 7.0 |] in
+  let b = Csr.with_values a v in
+  let c = Csr.of_triplets ~rows:3 ~cols:3 [ (0, 0, 5.0); (1, 1, 6.0); (2, 0, 7.0) ] in
+  Alcotest.(check int) "zero dropped" (Csr.nnz c) (Csr.nnz b);
+  List.iter
+    (fun (i, j) -> check_float (Printf.sprintf "(%d,%d)" i j) (Csr.get c i j) (Csr.get b i j))
+    [ (0, 0); (0, 2); (1, 1); (2, 0); (2, 2) ];
+  Alcotest.(check (array (float 0.0))) "mul_vec" (Csr.mul_vec c [| 1.0; 2.0; 3.0 |])
+    (Csr.mul_vec b [| 1.0; 2.0; 3.0 |]);
+  let shared = Csr.with_values a (Vec.of_array [| 1.0; 1.0; 1.0; 1.0 |]) in
+  check_float "original untouched" 2.0 (Csr.get a 0 0);
+  check_float "new value" 1.0 (Csr.get shared 0 0);
+  Alcotest.check_raises "length checked" (Invalid_argument "Csr.with_values: size mismatch")
+    (fun () -> ignore (Csr.with_values a (Vec.create 3)))
+
 let prop_spmv_bit_identical =
   QCheck.Test.make ~name:"C spmv is bit-identical to the boxed row loop" ~count:200
     QCheck.(triple small_int (int_range 1 40) (int_range 1 40))
@@ -440,6 +461,7 @@ let () =
           Alcotest.test_case "diagonal" `Quick test_csr_diagonal;
           Alcotest.test_case "bad index" `Quick test_csr_bad_index;
           QCheck_alcotest.to_alcotest prop_of_entries_matches_of_triplets;
+          Alcotest.test_case "with_values" `Quick test_csr_with_values;
         ] );
       ( "cg",
         [
